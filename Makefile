@@ -27,11 +27,11 @@ audit:
 # tiny benchmark run: crash-detection for the harness and fast paths,
 # not a measurement (see docs/PERFORMANCE.md for real runs).  The
 # scaling section exercises the cohort executor at 8 and 64 clients,
-# cross-checks process-vs-cohort metric identity, and runs one
-# timeline point (recompute vs. zero-copy arena replay at 2 shards,
-# with a cross-run cache hit); its JSON lands in
-# bench-scaling-smoke.json (the committed BENCH_scaling.json is the
-# real measurement and is never overwritten here).
+# cross-checks process-vs-cohort metric identity, and runs one mega
+# point (16,384 clients, 2 shards vs. unsharded); its JSON lands in
+# bench-scaling-smoke.json, which CI's determinism gate reads (the
+# committed BENCH_scaling.json is the real measurement and is never
+# overwritten here).
 bench-smoke:
 	$(PYTHON) -m repro.experiments.bench --smoke --workers 2 \
 		--label ci-smoke --output bench-smoke.json
@@ -48,7 +48,7 @@ faults-smoke:
 		--seed 42 --output faults-smoke.json
 
 # observability smoke (docs/OBSERVABILITY.md): one traced faulted
-# 2-shard replay-mode run producing a Perfetto-loadable Chrome trace
+# 2-shard run producing a Perfetto-loadable Chrome trace
 # (obs-trace.json) whose span counts reconcile with the metrics, plus a
 # traced-vs-untraced wall-clock comparison (obs-overhead.json).  The
 # overhead bound is checked warn-only in CI.

@@ -1,9 +1,8 @@
 """Pickling rule: live simulation state must not cross process bounds.
 
-The sharded and replay executors are built on a narrow serialization
-contract: what ships to a pool worker is a :class:`SimulationConfig`
-(frozen, declarative), a :class:`TimelineHandle` (a *name* for a
-shared-memory arena, no payload), and what ships back is a
+The sharded executor is built on a narrow serialization contract: what
+ships to a pool worker is a :class:`SimulationConfig` (frozen,
+declarative) plus a reader slice, and what ships back is a
 :class:`MetricsCollector` plus scalars.  A live
 :class:`BroadcastSimulation` — its :class:`Simulator` event queue,
 :class:`BroadcastServer`, :class:`SharedState`, fault runtime — is none
@@ -90,7 +89,7 @@ class NoSimStatePicklingRule(LintRule):
     description = (
         "no live simulation state (BroadcastSimulation, Simulator, "
         "server, SharedState) across pickle/process boundaries; only "
-        "configs, MetricsCollector and arena handles may cross — or "
+        "configs, shard slices and MetricsCollector may cross — or "
         "mark quiesced objects `# rep: allow-pickle`"
     )
     scopes = ()  # the whole tree: every boundary call is in scope

@@ -1,6 +1,6 @@
 """Population rule: no O(population) comprehensions in shard hot paths.
 
-The sharded/analytic executors exist so that cost scales with *events*,
+The cohort and sharded executors exist so that cost scales with *events*,
 not with the client population: a 10⁶-client run must never materialise
 a list with one element per client on a per-slot or per-cycle basis.  A
 comprehension over a population-named iterable (``clients``,
@@ -62,7 +62,6 @@ class NoPopulationComprehensionRule(LintRule):
     scopes = (
         "repro/sim/cohort.py",
         "repro/sim/shard.py",
-        "repro/sim/analytic.py",
     )
 
     def check(self, module: ModuleUnderLint) -> Iterator[Finding]:

@@ -21,18 +21,10 @@ and ``TS / (TS + OBJ)`` (≈0.1%) for the vector schemes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import numpy as np
-
-from ..core.group_matrix import Partition
-from ..core.validators import ControlSnapshot
 
 __all__ = [
     "ControlInfoScheme",
     "scheme_for_protocol",
-    "snapshot_payload",
-    "rebuild_snapshot",
 ]
 
 
@@ -81,51 +73,3 @@ def scheme_for_protocol(
         per_slot, remainder = divmod(total, num_objects)
         return ControlInfoScheme("group-matrix", per_slot, remainder)
     raise ValueError(f"unknown protocol {protocol!r}")
-
-
-# -- flat snapshot wire format -----------------------------------------
-# A frozen per-cycle control snapshot is, on the wire and in the timeline
-# arena (:mod:`repro.sim.arena`), exactly one dense encoded-timestamp
-# array; which :class:`~repro.core.validators.ControlSnapshot` field it
-# populates is the protocol's shape.  These two helpers are the flat
-# encode/decode pair: ``snapshot_payload`` strips a snapshot down to
-# ``(kind, array)`` and ``rebuild_snapshot`` re-wraps a (possibly
-# shared-memory-backed) array as the equivalent snapshot for a given
-# cycle.  Round-tripping preserves validation decisions bit for bit —
-# the snapshot's only other field is the cycle anchor.
-
-
-def snapshot_payload(snapshot: ControlSnapshot) -> Tuple[str, np.ndarray]:
-    """``(kind, array)`` of the one populated control field.
-
-    ``kind`` is ``"matrix"``, ``"vector"`` or ``"grouped"`` — the name of
-    the :class:`ControlSnapshot` field the array came from.
-    """
-    if snapshot.matrix is not None:
-        return "matrix", snapshot.matrix
-    if snapshot.vector is not None:
-        return "vector", snapshot.vector
-    if snapshot.grouped is not None:
-        return "grouped", snapshot.grouped
-    raise ValueError("snapshot carries no control payload")
-
-
-def rebuild_snapshot(
-    kind: str,
-    cycle: int,
-    array: np.ndarray,
-    partition: Optional[Partition] = None,
-) -> ControlSnapshot:
-    """The snapshot whose ``kind`` field is ``array``, anchored at ``cycle``.
-
-    The inverse of :func:`snapshot_payload`; ``partition`` travels along
-    for the grouped (group-matrix) shape, which cannot be validated
-    without it.
-    """
-    if kind == "matrix":
-        return ControlSnapshot(cycle=cycle, matrix=array)
-    if kind == "vector":
-        return ControlSnapshot(cycle=cycle, vector=array)
-    if kind == "grouped":
-        return ControlSnapshot(cycle=cycle, grouped=array, partition=partition)
-    raise ValueError(f"unknown snapshot kind {kind!r}")

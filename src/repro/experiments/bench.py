@@ -26,19 +26,13 @@ Three sections:
   --output BENCH_scaling.json``).  The standard tier times the
   per-process executor vs. the slot-coalesced cohort executor on the
   same seeded workload and checks their metrics are bit-identical; the
-  **mega tier** (16 384 … 1 000 000 clients) times the sharded
-  analytical tier, cross-checked against ``shards=1`` at every point
-  and against the cohort executor up to 65 536 clients.  Every point
-  records its own provenance (actual ``os.cpu_count()``, shard count,
-  effective pool workers, and ``getrusage`` max-RSS high-water marks for
-  the parent and its pool workers), and a re-run at one point
-  double-checks same-seed determinism.  A **timeline** sub-section
-  times sharded ``timeline_mode="recompute"`` against
-  ``timeline_mode="replay"`` (one recording pass, zero-copy
-  shared-memory arena, observer shards) on the same seeded workload,
-  then re-runs replay warm and with a client-side parameter varied to
-  demonstrate a real cross-run :data:`repro.sim.TIMELINE_CACHE` hit —
-  every mode bit-identical to the unsharded oracle.
+  opt-in **mega tier** (16 384 … 1 000 000 clients; the full run and
+  the smoke run's one 16 384-client point) times the sharded cohort
+  executor, cross-checked against ``shards=1`` at every point.  Every
+  point records its own provenance (actual ``os.cpu_count()``, shard
+  count, effective pool workers, and ``getrusage`` max-RSS high-water
+  marks for the parent and its pool workers), and a re-run at one point
+  double-checks same-seed determinism.
 
 With ``--append`` the run is added to the existing document's ``runs``
 list and a ``comparison`` block (first vs. last run: per-workload speedup
@@ -65,7 +59,6 @@ from ..core.control_matrix import ControlMatrix
 from ..core.cycles import UnboundedCycles
 from ..core.validators import ControlSnapshot, make_validator
 from ..server.server import BroadcastServer
-from ..sim.arena import TIMELINE_CACHE
 from ..sim.config import SimulationConfig
 from ..sim.simulation import run_simulation
 from .figures import EXPERIMENTS
@@ -75,7 +68,6 @@ __all__ = [
     "bench_micro",
     "bench_sweeps",
     "bench_scaling",
-    "bench_timeline",
     "MEGA_CLIENT_COUNTS",
     "SCALING_CLIENT_COUNTS",
     "run_bench",
@@ -353,7 +345,7 @@ def bench_sweeps(
 #: client populations of the standard scaling tier (process vs. cohort)
 SCALING_CLIENT_COUNTS = (8, 64, 512, 4096)
 
-#: client populations of the mega tier (sharded analytical executor);
+#: client populations of the mega tier (sharded cohort executor);
 #: per-population transaction counts taper so the top points stay
 #: re-runnable, and shard counts grow with the population
 MEGA_CLIENT_COUNTS = (16_384, 65_536, 262_144, 1_000_000)
@@ -363,10 +355,6 @@ _MEGA_SHARDS = {16_384: 2, 65_536: 2, 262_144: 4, 1_000_000: 4}
 #: above this population the mega tier drops per-transaction sample
 #: objects (``keep_samples=False``) — metrics stay array-backed only
 _SAMPLE_CAP = 262_144
-
-#: largest population where the event-driven cohort executor is cheap
-#: enough to serve as a second identity basis
-_COHORT_CROSSCHECK_CAP = 65_536
 
 #: the broadcast-bound workload the cohort executor is built for: few
 #: objects, short cycles, think times far below the cycle length — so
@@ -439,10 +427,8 @@ def _max_rss_kb() -> Dict[str, int]:
     ``ru_maxrss`` is a monotone per-process high-water mark (KiB on
     Linux), so a point's value bounds everything run *up to and
     including* that point — call this when the point finishes.  The
-    parent's own mark covers the primary shard and every arena the
-    recording pass sealed; the children's mark covers the pool workers,
-    which under timeline replay attach zero-copy and should therefore
-    stay flat as shard counts grow.
+    parent's own mark covers the primary shard; the children's mark
+    covers the pool workers.
     """
     return {
         "max_rss_self_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
@@ -455,15 +441,14 @@ def _max_rss_kb() -> Dict[str, int]:
 def _mega_point(
     base: SimulationConfig, num_clients: int, transactions: int
 ) -> Dict[str, Any]:
-    """One mega-tier point: sharded analytic run plus identity checks.
+    """One mega-tier point: sharded cohort run plus an identity check.
 
     ``metrics_identical`` aggregates every basis in ``identity_basis``:
-    the sharded run is compared against ``shards=1`` at every point, and
-    against the event-driven cohort executor while that is affordable
-    (populations up to ``_COHORT_CROSSCHECK_CAP``).  Above
-    ``_SAMPLE_CAP`` clients the run drops per-transaction sample objects
-    (``keep_samples=False``); the signature is array-backed either way,
-    so the comparison loses nothing.
+    the sharded run is compared against the same config at
+    ``shards=1``.  Above ``_SAMPLE_CAP`` clients the run drops
+    per-transaction sample objects (``keep_samples=False``); the
+    signature is array-backed either way, so the comparison loses
+    nothing.
     """
     txns = min(_MEGA_TRANSACTIONS[num_clients], transactions)
     shards = _MEGA_SHARDS[num_clients]
@@ -471,7 +456,7 @@ def _mega_point(
     config = base.replace(
         num_clients=num_clients,
         num_client_transactions=txns,
-        client_executor="analytic",
+        client_executor="cohort",
         keep_samples=keep,
     )
     point: Dict[str, Any] = {
@@ -485,127 +470,19 @@ def _mega_point(
         lambda: run_simulation(config.replace(shards=shards))
     )
     sharded = _metric_signature(result)
-    point["analytic_sharded_seconds"] = round(seconds, 4)
+    point["cohort_sharded_seconds"] = round(seconds, 4)
     point["events"] = result.events
     point["clients_per_second"] = round(num_clients / seconds, 1)
     gc.collect()
     single_seconds, single = _timed(lambda: run_simulation(config))
-    point["analytic_seconds"] = round(single_seconds, 4)
+    point["cohort_seconds"] = round(single_seconds, 4)
+    point["speedup"] = round(single_seconds / seconds, 2)
     basis = {"sharded-vs-unsharded": sharded == _metric_signature(single)}
-    if num_clients <= _COHORT_CROSSCHECK_CAP:
-        gc.collect()
-        cohort_seconds, cohort = _timed(
-            lambda: run_simulation(config.replace(client_executor="cohort"))
-        )
-        basis["cohort-vs-analytic"] = _metric_signature(cohort) == sharded
-        point["cohort_seconds"] = round(cohort_seconds, 4)
-        point["speedup"] = round(cohort_seconds / seconds, 2)
     point["identity_basis"] = basis
     point["metrics_identical"] = all(basis.values())
     point["signature"] = sharded
     point.update(_max_rss_kb())
     return point
-
-
-# ----------------------------------------------------------------------
-# section: timeline replay (recompute vs. zero-copy arena replay)
-# ----------------------------------------------------------------------
-
-#: the regime the timeline arena targets: an update-heavy server whose
-#: authoritative timeline is expensive relative to each shard's reader
-#: slice, so recomputing it per shard is the dominant sharding overhead
-_TIMELINE_WORKLOAD = dict(
-    protocol="f-matrix",
-    num_objects=128,
-    client_txn_length=6,
-    mean_inter_operation_delay=4096.0,
-    mean_inter_transaction_delay=16384.0,
-    server_txn_length=4,
-    server_txn_interval=20_000.0,
-    client_executor="analytic",
-)
-
-
-def bench_timeline(
-    *,
-    shards: int = 4,
-    clients: int = 2048,
-    variant_clients: int = 1024,
-    transactions: int = 2,
-    seed: int = 42,
-) -> Dict[str, Any]:
-    """Recompute vs. replay at ``shards``, plus a cross-run cache hit.
-
-    Four timed runs of the same seeded workload: the unsharded oracle,
-    the sharded run with ``timeline_mode="recompute"`` (every shard
-    re-derives the broadcast timeline from seeds), the sharded run with
-    ``timeline_mode="replay"`` against a cold cache (one recording pass,
-    observers attach to the shared-memory arena), and the same replay
-    again warm (the sealed arena comes out of :data:`TIMELINE_CACHE`).
-    A fifth run varies a *client-side* parameter only (the population
-    size) and must hit the cache too — that is the cross-run reuse the
-    cache exists for, verified against its own unsharded oracle.
-    ``metrics_identical`` aggregates all four identity bases; every
-    mode must reproduce the oracle bit for bit.
-    """
-    base = SimulationConfig(
-        num_clients=clients,
-        num_client_transactions=transactions,
-        seed=seed,
-        **_TIMELINE_WORKLOAD,
-    )
-    sharded = base.replace(shards=shards)
-    replaying = sharded.replace(timeline_mode="replay")
-    out: Dict[str, Any] = {
-        "clients": clients,
-        "transactions": transactions,
-        **_provenance(shards),
-    }
-    gc.collect()
-    oracle_seconds, oracle = _timed(lambda: run_simulation(base))
-    oracle_sig = _metric_signature(oracle)
-    gc.collect()
-    recompute_seconds, recompute = _timed(lambda: run_simulation(sharded))
-    TIMELINE_CACHE.clear()
-    gc.collect()
-    replay_seconds, replay = _timed(lambda: run_simulation(replaying))
-    gc.collect()
-    cached_seconds, cached = _timed(lambda: run_simulation(replaying))
-    variant_config = replaying.replace(num_clients=variant_clients)
-    gc.collect()
-    variant_seconds, variant = _timed(lambda: run_simulation(variant_config))
-    variant_oracle = run_simulation(base.replace(num_clients=variant_clients))
-    basis = {
-        "recompute-vs-unsharded": _metric_signature(recompute) == oracle_sig,
-        "replay-vs-unsharded": _metric_signature(replay) == oracle_sig,
-        "cached-replay-vs-unsharded": _metric_signature(cached) == oracle_sig,
-        "cached-variant-vs-unsharded": (
-            _metric_signature(variant) == _metric_signature(variant_oracle)
-        ),
-    }
-    out["oracle_seconds"] = round(oracle_seconds, 4)
-    out["recompute_seconds"] = round(recompute_seconds, 4)
-    out["replay_seconds"] = round(replay_seconds, 4)
-    out["cached_replay_seconds"] = round(cached_seconds, 4)
-    out["replay_speedup"] = round(recompute_seconds / replay_seconds, 2)
-    out["cached_replay_speedup"] = round(recompute_seconds / cached_seconds, 2)
-    out["replay_stats"] = replay.timeline_stats
-    out["cached_replay_stats"] = cached.timeline_stats
-    # wall-clock phase breakdown (PhaseProfiler): where the seconds went
-    out["recompute_profile"] = recompute.profile
-    out["replay_profile"] = replay.profile
-    out["cached_replay_profile"] = cached.profile
-    out["variant"] = {
-        "clients": variant_clients,
-        "seconds": round(variant_seconds, 4),
-        "stats": variant.timeline_stats,
-    }
-    out["identity_basis"] = basis
-    out["metrics_identical"] = all(basis.values())
-    out["signature"] = oracle_sig
-    out["cache"] = TIMELINE_CACHE.stats.as_dict()
-    out.update(_max_rss_kb())
-    return out
 
 
 def bench_scaling(
@@ -615,10 +492,7 @@ def bench_scaling(
     seed: int = 42,
     trials: int = 3,
     include_defaults: bool = True,
-    mega: Sequence[int] = MEGA_CLIENT_COUNTS,
-    timeline_shards: int = 4,
-    timeline_clients: int = 2048,
-    timeline_variant_clients: int = 1024,
+    mega: Sequence[int] = (),
 ) -> Dict[str, Any]:
     """Time the executors over a client sweep, with identity verdicts.
 
@@ -626,9 +500,10 @@ def bench_scaling(
     seeded workload at every point; their metric signatures must match
     exactly (the cohort path is a bit-identical reorganisation, not an
     approximation).  A cohort re-run at the second point provides the
-    same-seed determinism verdict.  The mega tier (``mega`` populations,
-    timed once each) runs the sharded analytical executor — see
-    :func:`_mega_point` for its identity bases.
+    same-seed determinism verdict.  The mega tier (``mega`` populations
+    drawn from :data:`MEGA_CLIENT_COUNTS`, timed once each; none by
+    default) runs the sharded cohort executor — see :func:`_mega_point`
+    for its identity basis.
     """
     base = SimulationConfig(
         num_client_transactions=transactions, seed=seed, **_SCALING_DENSE
@@ -682,15 +557,6 @@ def bench_scaling(
             _mega_point(base, num_clients, transactions)
             for num_clients in mega
         ]
-    if timeline_shards >= 2:
-        # few reader transactions on purpose: the section probes the
-        # regime where the per-shard timeline recomputation dominates
-        out["timeline"] = bench_timeline(
-            shards=timeline_shards,
-            clients=timeline_clients,
-            variant_clients=timeline_variant_clients,
-            seed=seed,
-        )
     if include_defaults:
         # the honest counterpoint: Table 1's sparse default layout, where
         # few clients share a slot and coalescing buys much less
@@ -772,9 +638,7 @@ def run_bench(
     if "scaling" in sections:
         if smoke:
             # one sharded mega point (16384 clients, 2 shards) rides the
-            # smoke run so CI gets a metric-identity verdict per commit,
-            # and a small timeline point (2 shards) gets CI a
-            # recompute-vs-replay identity + cache-hit verdict too
+            # smoke run so CI gets a metric-identity verdict per commit
             run["scaling"] = bench_scaling(
                 clients=(8, 64),
                 transactions=2,
@@ -782,12 +646,9 @@ def run_bench(
                 trials=1,
                 include_defaults=False,
                 mega=(16_384,),
-                timeline_shards=2,
-                timeline_clients=256,
-                timeline_variant_clients=128,
             )
         else:
-            run["scaling"] = bench_scaling(seed=seed)
+            run["scaling"] = bench_scaling(seed=seed, mega=MEGA_CLIENT_COUNTS)
     return run
 
 
@@ -948,37 +809,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"identical={point['metrics_identical']}"
             )
         for point in scaling.get("mega_points", []):
-            line = (
-                f"  scaling {point['clients']:>9,} clients  "
-                f"analytic×{point['shards']} "
-                f"{point['analytic_sharded_seconds']:>8.3f}s "
-                f"({point['clients_per_second']:>9,.0f} clients/s)  "
-            )
-            if "cohort_seconds" in point:
-                line += f"cohort {point['cohort_seconds']:>8.3f}s  "
-            line += f"identical={point['metrics_identical']}"
-            print(line)
-        timeline = scaling.get("timeline")
-        if timeline:
             print(
-                f"  timeline {timeline['clients']:>5} clients x"
-                f"{timeline['shards']} shards  "
-                f"recompute {timeline['recompute_seconds']:>7.3f}s  "
-                f"replay {timeline['replay_seconds']:>7.3f}s "
-                f"({timeline['replay_speedup']:.2f}x)  "
-                f"cached {timeline['cached_replay_seconds']:>7.3f}s "
-                f"({timeline['cached_replay_speedup']:.2f}x)  "
-                f"identical={timeline['metrics_identical']}  "
-                f"cache hits={timeline['cache']['hits']} "
-                f"misses={timeline['cache']['misses']} "
-                f"stores={timeline['cache']['stores']}"
+                f"  scaling {point['clients']:>9,} clients  "
+                f"cohort×{point['shards']} "
+                f"{point['cohort_sharded_seconds']:>8.3f}s "
+                f"({point['clients_per_second']:>9,.0f} clients/s)  "
+                f"cohort×1 {point['cohort_seconds']:>8.3f}s  "
+                f"identical={point['metrics_identical']}"
             )
-            profile = timeline.get("replay_profile")
-            if profile:
-                phases = "  ".join(
-                    f"{name}={seconds:.3f}s" for name, seconds in profile.items()
-                )
-                print(f"  timeline replay phases: {phases}")
         if "table1_defaults" in scaling:
             point = scaling["table1_defaults"]
             print(

@@ -7,7 +7,7 @@ Installed as ``repro-experiments``.  Examples::
     repro-experiments fig2 --transactions 200 --seed 7
     repro-experiments all --transactions 200 --csv results/
     repro-experiments all --workers 4   # parallel grid, identical results
-    repro-experiments fig2 --executor analytic --shards 4   # sharded run
+    repro-experiments fig2 --executor cohort --shards 4   # sharded run
     repro-experiments scenario list     # the declarative scenario library
     repro-experiments scenario run --all          # envelope-checked runs
     repro-experiments scenario record commuter-doze --out doze.trace.json
@@ -75,19 +75,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--executor",
-        choices=["process", "cohort", "analytic"],
+        choices=["process", "cohort"],
         default="process",
         help="client execution layer: 'cohort' coalesces same-slot clients "
-        "into one event, 'analytic' fast-forwards fault-free read-only "
-        "clients in closed form (both bit-identical to 'process', faster "
-        "at large client populations; see docs/PERFORMANCE.md)",
+        "into one event (bit-identical to 'process', faster at large "
+        "client populations; see docs/PERFORMANCE.md)",
     )
     parser.add_argument(
         "--shards",
         type=int,
         default=1,
         help="partition the read-only client population over N worker "
-        "processes (requires --executor cohort or analytic; results are "
+        "processes (requires --executor cohort; results are "
         "bit-identical to --shards 1, see docs/PERFORMANCE.md §5)",
     )
     parser.add_argument(
@@ -131,12 +130,6 @@ def _run_one(
         from .plotting import render_chart
 
         print(render_chart(result, log_y=True))
-    cache = getattr(result, "timeline_cache", None) or {}
-    if cache.get("hits") or cache.get("misses"):
-        print(
-            f"[{name}] timeline cache: {cache['hits']} hits, "
-            f"{cache['misses']} misses, {cache['stores']} stores"
-        )
     print(f"[{name}] {elapsed:.1f}s wall clock\n")
     if csv_dir is not None:
         csv_dir.mkdir(parents=True, exist_ok=True)
@@ -334,8 +327,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.shards > 1 and args.executor == "process":
         build_parser().error(
-            "--shards requires --executor cohort or analytic (the per-"
-            "process executor cannot partition the client population)"
+            "--shards requires --executor cohort (the per-process "
+            "executor cannot partition the client population)"
         )
 
     if args.experiment == "list":

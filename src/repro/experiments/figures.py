@@ -58,12 +58,12 @@ def default_config(
 ) -> SimulationConfig:
     """Table 1 defaults with a configurable run length.
 
-    ``executor`` selects the client execution layer ("process",
-    "cohort" or "analytic"); all are bit-identical, so figures may be
-    reproduced on any of them (the cohort and analytic paths are faster
-    at large client populations).  ``shards`` > 1 partitions the
-    read-only population over worker processes (cohort/analytic only;
-    see docs/PERFORMANCE.md §5) — results are identical by construction.
+    ``executor`` selects the client execution layer ("process" or
+    "cohort"); both are bit-identical, so figures may be reproduced on
+    either (the cohort path is faster at large client populations).
+    ``shards`` > 1 partitions the read-only population over worker
+    processes (cohort only; see docs/PERFORMANCE.md §5) — results are
+    identical by construction.
     """
     return SimulationConfig(
         num_client_transactions=transactions,

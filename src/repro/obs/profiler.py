@@ -1,7 +1,7 @@
 """Wall-clock phase timing for the harness, outside the deterministic core.
 
 The simulator itself may never read the wall clock (REP001/REP010); the
-harness around it — shard setup, timeline record/replay, merge, drive —
+harness around it — shard setup, primary shard, merge, drive —
 legitimately wants to know where real seconds go.  ``PhaseProfiler``
 accumulates ``perf_counter`` deltas per named phase and renders to a
 plain dict for BENCH_scaling.json points and ``SimulationResult.profile``.

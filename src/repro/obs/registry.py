@@ -1,7 +1,6 @@
 """Counter/gauge/histogram telemetry registry.
 
-Generalises the ad-hoc scalar tallies on ``MetricsCollector`` (and the
-(time, counter, delta) journal of ``RecordingTimelineMetrics``) into a
+Generalises the ad-hoc scalar tallies on ``MetricsCollector`` into a
 named instrument registry.  Instruments are created on first use and
 kept in insertion order; :meth:`TelemetryRegistry.merge_from` combines
 registries deterministically when callers merge in shard-index order —
@@ -9,9 +8,8 @@ the same contract ``MetricsCollector.merge_from`` honours.
 
 :func:`registry_from_result` derives a registry from a finished
 ``SimulationResult``: because it reads the *merged* collector (whose
-counters already crossed the shard and replay boundaries via
-``merge_from`` / ``apply_journal``), the registry inherits shard-order
-and replay correctness for free.
+counters already crossed the shard boundaries via ``merge_from``), the
+registry inherits shard-order correctness for free.
 """
 
 from typing import Any, Dict, Iterable, List
@@ -190,8 +188,7 @@ def registry_from_result(result: Any) -> TelemetryRegistry:
     plus ``commits``; gauges carry run extent (stop time, kernel
     events); histograms bucket per-commit response times and restart
     counts straight from the array accumulators (``keep_samples`` is
-    irrelevant — no sample objects are materialised).  Timeline cache
-    stats, when present, land under ``timeline.*``.
+    irrelevant — no sample objects are materialised).
     """
     registry = TelemetryRegistry()
     metrics = result.metrics
@@ -209,11 +206,4 @@ def registry_from_result(result: Any) -> TelemetryRegistry:
         registry.histogram("restarts").observe_many(
             metrics._restart_counts[:count].tolist()
         )
-    stats = getattr(result, "timeline_stats", None)
-    if stats:
-        for key, value in stats.items():
-            if isinstance(value, bool):
-                registry.counter(f"timeline.{key}").inc(float(value))
-            elif isinstance(value, (int, float)):
-                registry.counter(f"timeline.{key}").inc(float(value))
     return registry

@@ -9,7 +9,7 @@ Subcommands::
 
 The default ``run`` configuration is the observability smoke scenario:
 a small faulted (doze + mid-run server crash + lossy uplink) 2-shard
-replay-mode run under the cohort executor — the same shape the
+run under the cohort executor — the same shape the
 determinism tests pin — so the produced trace exercises every span
 kind: client attempts/transactions/uplinks, broadcast cycles, server
 commits, and the crash-recovery window.  The emitted JSON loads
@@ -38,7 +38,6 @@ def smoke_config(
     transactions: int = 10,
     seed: int = 7,
     shards: int = 2,
-    timeline_mode: str = "replay",
     tracing: bool = True,
     trace_buffer: int = 1 << 20,
 ):
@@ -62,7 +61,6 @@ def smoke_config(
     return SimulationConfig(
         client_executor="cohort",
         shards=shards,
-        timeline_mode=timeline_mode,
         tracing=tracing,
         trace_buffer=trace_buffer,
         faults=FaultPlan(
@@ -91,11 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="reader-population shards (each becomes a Perfetto process lane)",
-    )
-    run.add_argument(
-        "--timeline-mode",
-        choices=["recompute", "replay"],
-        default="replay",
     )
     run.add_argument(
         "--workers",
@@ -173,7 +166,6 @@ def _run_smoke(args: argparse.Namespace):
         transactions=args.transactions,
         seed=args.seed,
         shards=args.shards,
-        timeline_mode=args.timeline_mode,
     )
     if config.shards > 1:
         return run_sharded(config, workers=args.workers)
@@ -184,14 +176,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = _run_smoke(args)
     spans = result.spans or []
     registry = result.telemetry()
-    # truncate each lane with the same predicate canonical_spans uses, so
-    # the artifact's span counts reconcile with the counters it carries
-    # (the raw primary stream includes extension-phase timeline spans
-    # beyond the merged stop time)
-    lanes = [
-        [s for s in lane if s.start <= result.sim_time]
-        for lane in (result.shard_spans or [spans])
-    ]
+    lanes = result.shard_spans or [spans]
     document = chrome_trace(
         lanes,
         counters=registry.as_dict()["counters"],

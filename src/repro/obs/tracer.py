@@ -150,9 +150,8 @@ def canonical_spans(
     """Merge per-shard span streams into one canonical ordering.
 
     Spans that *start* after ``upto`` (the merged stop time) are
-    truncated — the same predicate the timeline-metrics journal fold
-    uses (``time <= upto``), so span counts reconcile with replayed
-    counters.  Plain tuple sort gives a total order independent of
+    truncated, so span counts reconcile with counters recorded up to
+    that stop.  Plain tuple sort gives a total order independent of
     shard count and emission interleaving.
     """
     merged = [

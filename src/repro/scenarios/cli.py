@@ -57,7 +57,7 @@ def build_scenario_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--executor",
-        choices=["process", "cohort", "analytic"],
+        choices=["process", "cohort"],
         default=None,
         help="override the scenario's client executor",
     )

@@ -226,8 +226,8 @@ def parse_scenario(
     ``source`` names the document in error messages (the loader passes
     the file path).  Validation is eager: a config is built for every
     listed protocol, so constraint violations inside
-    :class:`SimulationConfig` (analytic + faults, sharded process
-    executor, …) surface here, not at run time.
+    :class:`SimulationConfig` (sharded process executor, doze for a
+    missing client, …) surface here, not at run time.
     """
     if not isinstance(payload, Mapping):
         raise _fail(source, "scenario document must be a mapping")

@@ -1,15 +1,5 @@
 """Discrete-event simulation of the broadcast-disk system (Sec. 4 setup)."""
 
-from .arena import (
-    TIMELINE_CACHE,
-    TimelineArena,
-    TimelineCache,
-    TimelineExhausted,
-    TimelineHandle,
-    TimelineView,
-    timeline_cacheable,
-    timeline_fingerprint,
-)
 from .batch import ReplicatedResult, replicate, replication_seeds
 from .cohort import CohortClient, CohortExecutor
 from .config import KILOBYTE_BITS, SimulationConfig
@@ -54,14 +44,6 @@ __all__ = [
     "run_sharded",
     "reader_slices",
     "ShardExecutionError",
-    "TimelineArena",
-    "TimelineHandle",
-    "TimelineView",
-    "TimelineExhausted",
-    "TimelineCache",
-    "TIMELINE_CACHE",
-    "timeline_cacheable",
-    "timeline_fingerprint",
     "CohortClient",
     "CohortExecutor",
     "TraceRecorder",

@@ -61,23 +61,16 @@ class SimulationConfig:
     seed: int = 42
     #: "process" — one simulator process per client (the oracle path);
     #: "cohort" — slot-coalesced batched execution for large populations
-    #: (bit-identical results, far fewer kernel events);
-    #: "analytic" — fast-forward fault-free read-only clients in closed
-    #: form against a lazily-extended broadcast timeline (bit-identical
-    #: to the oracle; O(1) transient state per client)
+    #: (bit-identical results, far fewer kernel events)
     client_executor: str = "process"
-    #: partition the read-only population over N sharded simulations
-    #: (docs/PERFORMANCE.md §5); 1 = single in-process run
+    #: partition the read-only population over N sharded simulations,
+    #: each recomputing the timeline (docs/PERFORMANCE.md §5); 1 = single
+    #: in-process run
     shards: int = 1
-    #: "recompute" — every shard derives the authoritative timeline from
-    #: the shared seeds (docs/PERFORMANCE.md §5); "replay" — one recording
-    #: pass seals the timeline into a shared-memory arena and the other
-    #: shards replay it zero-copy (§6); bit-identical either way
-    timeline_mode: str = "recompute"
     #: only clients with id < N ever draw update transactions; None means
-    #: every client may (the pre-existing behaviour).  Sharded or analytic
-    #: runs with updates require an explicit bound so the read-only
-    #: population is well defined.
+    #: every client may (the pre-existing behaviour).  Sharded runs with
+    #: updates require an explicit bound so the read-only population is
+    #: well defined.
     num_update_clients: Optional[int] = None
     #: retain per-transaction sample objects after the run (switch off
     #: for 10⁶-client runs; the array accumulators remain either way)
@@ -161,10 +154,8 @@ class SimulationConfig:
             raise ValueError("unknown server_interval_distribution")
         if self.num_clients < 1:
             raise ValueError("num_clients must be >= 1")
-        if self.client_executor not in ("process", "cohort", "analytic"):
-            raise ValueError(
-                "client_executor must be 'process', 'cohort' or 'analytic'"
-            )
+        if self.client_executor not in ("process", "cohort"):
+            raise ValueError("client_executor must be 'process' or 'cohort'")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.num_update_clients is not None and not (
@@ -218,47 +209,13 @@ class SimulationConfig:
                     f"{self.faults.max_doze_client} but the run has only "
                     f"{self.num_clients} client(s)"
                 )
-            if self.client_executor == "analytic" and not self.faults.is_noop:
-                raise ValueError(
-                    "the analytical tier does not support fault injection "
-                    "(doze/crash/uplink loss): faulty trajectories are not "
-                    "closed-form replayable; use client_executor='process' "
-                    "or 'cohort' (both simulate faults bit-identically)"
-                )
-        if self.client_executor == "analytic":
-            if self.audit:
-                raise ValueError(
-                    "audit runs replay a recorded trace; the analytical "
-                    "tier records none — use 'process' or 'cohort'"
-                )
-            if self.client_update_fraction > 0.0 and self.num_update_clients is None:
-                raise ValueError(
-                    "the analytical tier fast-forwards read-only clients; "
-                    "with client_update_fraction > 0 set num_update_clients "
-                    "so the update population is bounded (those clients run "
-                    "event-driven under the cohort executor)"
-                )
         if self.trace_buffer < 1:
             raise ValueError("trace_buffer must be >= 1")
-        if self.timeline_mode not in ("recompute", "replay"):
-            raise ValueError("timeline_mode must be 'recompute' or 'replay'")
-        if self.timeline_mode == "replay":
-            if self.audit:
-                raise ValueError(
-                    "audit runs replay a recorded trace of their own run; "
-                    "use timeline_mode='recompute'"
-                )
-            if self.client_update_fraction > 0.0 and self.num_update_clients is None:
-                raise ValueError(
-                    "timeline replay partitions the read-only population; "
-                    "with client_update_fraction > 0 set num_update_clients "
-                    "so the recording pass owns a bounded update population"
-                )
         if self.shards > 1:
             if self.client_executor == "process":
                 raise ValueError(
-                    "sharded runs require the 'cohort' or 'analytic' "
-                    "executor (the per-process oracle is single-shard)"
+                    "sharded runs require the 'cohort' executor (the "
+                    "per-process oracle is single-shard)"
                 )
             if self.client_update_fraction > 0.0 and self.num_update_clients is None:
                 raise ValueError(
@@ -337,8 +294,8 @@ class SimulationConfig:
 
         Clients at or beyond this index never consult the update-fraction
         gate (no RNG draw), which is what makes the read-only population
-        partitionable across shards and replayable by the analytical
-        tier without perturbing anyone's random stream.
+        partitionable across shards without perturbing anyone's random
+        stream.
         """
         if self.client_update_fraction <= 0.0:
             return 0

@@ -346,19 +346,6 @@ class FaultRuntime:
         )
 
     # -- server outages -------------------------------------------------
-    def preload_outages(self, outages: Sequence[Tuple[float, float]]) -> None:
-        """Install the complete outage history up front (replay shards).
-
-        A replay shard hosts no crash process — the dead air is already
-        baked into the arena's recorded timeline — but its *readers*
-        still lose slots that overlap an outage.  Crash windows are plan
-        data (``[crash.time, crash.time + downtime]``), so the replay
-        runtime starts with every outage closed; ``slot_heard`` then
-        makes exactly the live run's decisions without ``server_down``
-        ever being raised.
-        """
-        self._outages = list(outages)
-
     def begin_outage(self, time: float) -> None:
         self.server_down = True
         self._outage_start = time
@@ -485,8 +472,8 @@ def crash_process(
             if tracer.enabled:
                 # the re-issued image goes on air *now*, mid-cycle: the
                 # span starts at the recovery instant (the same time the
-                # counter increment is journalled at) and runs to the
-                # boundary the image nominally covers
+                # counter is incremented) and runs to the boundary the
+                # image nominally covers
                 tracer.emit(
                     sim.now,
                     replayed.cycle * layout.cycle_bits,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Generator, Optional, Sequence, Union
 
 from ..broadcast.layout import FlatLayout
 from ..broadcast.program import BroadcastCycle
@@ -41,8 +41,7 @@ from .engine import Simulator, Timeout, WaitUntil
 from .metrics import MetricsCollector
 from .trace import TraceRecorder
 
-if TYPE_CHECKING:  # type-only: faults/arena import engine, never processes
-    from .arena import TimelineView
+if TYPE_CHECKING:  # type-only: faults imports engine, never processes
     from .faults import FaultRuntime
 
 __all__ = ["SharedState", "cycle_process", "server_process", "client_process"]
@@ -68,14 +67,6 @@ class SharedState:
     #: the processes below is guarded on it, so fault-free event sequences
     #: are untouched
     faults: Optional["FaultRuntime"] = None
-    #: when set (the analytical tier and the arena recording pass), every
-    #: installed broadcast image is retained here by cycle number, so
-    #: replays can read arbitrarily far behind the live pair
-    record_images: Optional[Dict[int, BroadcastCycle]] = None
-    #: when set (a replay shard), broadcast images come from a sealed
-    #: timeline arena instead of live cycle/server processes — the shard
-    #: hosts no timeline at all (docs/PERFORMANCE.md §6)
-    timeline: Optional["TimelineView"] = None
     #: span sink for the timeline-side processes (cycle/server/crash);
     #: the no-op singleton unless tracing is on *and* this shard owns
     #: the timeline (exactly one primary emits timeline spans, mirroring
@@ -87,8 +78,6 @@ class SharedState:
         return self.clients_done >= self.num_clients
 
     def advance(self, broadcast: BroadcastCycle) -> None:
-        if self.record_images is not None:
-            self.record_images[broadcast.cycle] = broadcast
         self.previous_broadcast = self.current_broadcast
         self.current_broadcast = broadcast
 
@@ -99,8 +88,6 @@ class SharedState:
         which instant the next image has already been installed — hence
         the previous image is retained one cycle.
         """
-        if self.timeline is not None:
-            return self.timeline.broadcast(cycle)
         for candidate in (self.current_broadcast, self.previous_broadcast):
             if candidate is not None and candidate.cycle == cycle:
                 return candidate

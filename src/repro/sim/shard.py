@@ -3,42 +3,26 @@
 One broadcast serves every client, but fault-free read-only clients are
 pure *observers*: nothing they do reaches the server, the cycle images,
 or each other.  That makes the population embarrassingly parallel —
-provided every shard sees the same broadcast.  Two modes provide it:
-
-* **recompute** (``config.timeline_mode == "recompute"``, the default):
-  each shard deterministically recomputes the authoritative timeline
-  from the config's seeds — the cycle process, the server process, the
-  crash schedule, and every update-capable client (whose uplink
-  submissions mutate the server) run in *every* shard, bit-identically.
-  Correct, but k shards pay k× the timeline cost.
-
-* **replay** (``"replay"``; docs/PERFORMANCE.md §6): the timeline is
-  simulated **once** — by a recording pass hosting the primary slice
-  (updaters, faulty or not, included) — then sealed into a
-  shared-memory :class:`~repro.sim.arena.TimelineArena`.  Worker shards
-  attach zero-copy and replay their reader range as pure observers: no
-  cycle process, no server process, no crash process, crash dead-air
-  reproduced from the plan's closed outage windows.  A shard that reads
-  past the recorded horizon falls back to recomputation for itself, so
-  replay is an optimisation, never a correctness risk.  For update-free,
-  fault-free configs the sealed arena also lands in the cross-run
-  :data:`~repro.sim.arena.TIMELINE_CACHE`, keyed by the server-side
-  config fingerprint + seed: sweep points that vary only client-side
-  parameters skip the recording pass entirely (a *cache hit*), and the
-  run's timeline-side counters are reconstructed from the arena's
-  recorded journal instead of a live simulation.
+provided every shard sees the same broadcast.  Each shard therefore
+deterministically *recomputes* the authoritative timeline from the
+config's seeds: the cycle process, the server process, the crash
+schedule, and every update-capable client (whose uplink submissions
+mutate the server) run in *every* shard, bit-identically.  k shards pay
+k× the timeline cost; docs/PERFORMANCE.md §5 records why the one
+alternative tried — record the timeline once and replay it from shared
+memory — was removed.
 
 The only inter-process traffic is the result: each worker returns its
-:class:`~repro.sim.metrics.MetricsCollector` (plus, under replay, a
-fallback flag), and the parent folds them together with
-:meth:`~repro.sim.metrics.MetricsCollector.merge_from` in shard order.
+:class:`~repro.sim.metrics.MetricsCollector`, and the parent folds them
+together with :meth:`~repro.sim.metrics.MetricsCollector.merge_from` in
+shard order.
 Double counting is prevented by the primary/ghost split
 (:class:`~repro.sim.simulation.ShardSlice`): exactly one shard — the
 primary — records the timeline's metrics; the others route them into a
 discarded shadow collector.  Summary statistics sort the merged samples
 by a layout-independent key, so the reported numbers are bit-identical
 to an unsharded run's — the property tests assert this across shard
-counts, executors and timeline modes.
+counts and executors.
 
 A worker that dies raises :class:`ShardExecutionError` in the parent,
 naming the shard and its reader range; outstanding futures are
@@ -52,28 +36,15 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from ..obs.profiler import PhaseProfiler
 from ..obs.tracer import Span, canonical_spans
-from .arena import (
-    TIMELINE_CACHE,
-    TimelineArena,
-    TimelineExhausted,
-    TimelineHandle,
-    timeline_cacheable,
-)
 from .config import SimulationConfig
 from .metrics import MetricsCollector
 from .simulation import BroadcastSimulation, ShardSlice, SimulationResult
 
 __all__ = ["reader_slices", "run_sharded", "ShardExecutionError"]
-
-#: recorded-horizon headroom: replay shards may stop later than the
-#: recording pass's own clients did (reader mixes differ), so record
-#: this factor past the local stop, plus a few whole cycles of slack
-_HORIZON_FACTOR = 1.25
-_HORIZON_SLACK_CYCLES = 4.0
 
 
 class ShardExecutionError(RuntimeError):
@@ -132,24 +103,10 @@ def reader_slices(config: SimulationConfig) -> List[ShardSlice]:
     return slices
 
 
-def _observer_slice(slice_: ShardSlice) -> ShardSlice:
-    """The replay form of a shard slice: its readers, nothing else.
-
-    Replay shards host no updaters (those ran in the recording pass) and
-    are never primary (there are no live timeline metrics to record).
-    """
-    return ShardSlice(
-        updaters=0,
-        reader_lo=slice_.reader_lo,
-        reader_hi=slice_.reader_hi,
-        primary=False,
-    )
-
-
 def _run_shard(
     job: Tuple[SimulationConfig, ShardSlice, Optional[int]]
 ) -> Tuple[MetricsCollector, float, int, List[Span], int]:
-    """Worker entry point: one recompute shard; collector + run stats +
+    """Worker entry point: one shard; collector + run stats +
     this shard's raw span stream (empty when tracing is off).
 
     Module-level so the process pool can pickle it; also the inline path
@@ -157,76 +114,6 @@ def _run_shard(
     """
     config, slice_, max_events = job
     simulation = BroadcastSimulation(config, slice_=slice_)
-    sim_time, events = simulation.execute(max_events)
-    return (
-        simulation.metrics,
-        sim_time,
-        events,
-        simulation.tracer.export(),
-        simulation.tracer.dropped,
-    )
-
-
-def _run_shard_replay(
-    job: Tuple[
-        SimulationConfig,
-        ShardSlice,
-        Union[TimelineHandle, TimelineArena],
-        Optional[int],
-    ]
-) -> Tuple[MetricsCollector, float, int, List[Span], int, bool]:
-    """Worker entry point: one replay shard; collector + stats + spans +
-    fell_back.
-
-    Attaches to the shared arena (zero-copy) when handed a
-    :class:`TimelineHandle`; uses the arena directly on the in-process
-    path.  A replay that outruns the recorded horizon recomputes the
-    shard from scratch — with the *original* slice, so the ghost
-    updaters and the shadow timeline run exactly as in recompute mode.
-    """
-    config, slice_, source, max_events = job
-    arena = (
-        TimelineArena.attach(source)
-        if isinstance(source, TimelineHandle)
-        else source
-    )
-    simulation = BroadcastSimulation(
-        config, slice_=_observer_slice(slice_), timeline=arena.view()
-    )
-    try:
-        sim_time, events = simulation.execute(max_events)
-    except TimelineExhausted:
-        metrics, sim_time, events, spans, dropped = _run_shard(
-            (config, slice_, max_events)
-        )
-        return metrics, sim_time, events, spans, dropped, True
-    return (
-        simulation.metrics,
-        sim_time,
-        events,
-        simulation.tracer.export(),
-        simulation.tracer.dropped,
-        False,
-    )
-
-
-def _replay_primary(
-    config: SimulationConfig,
-    slice_: ShardSlice,
-    arena: TimelineArena,
-    max_events: Optional[int],
-) -> Tuple[MetricsCollector, float, int, List[Span], int]:
-    """The parent's own replay of the primary slice on a cache hit.
-
-    Unlike the worker path this lets :class:`TimelineExhausted`
-    propagate: a live recompute of the *primary* slice would record
-    timeline metrics that the journal fold would then double-count, so
-    the caller handles exhaustion by discarding the cache entry and
-    re-recording instead.
-    """
-    simulation = BroadcastSimulation(
-        config, slice_=_observer_slice(slice_), timeline=arena.view()
-    )
     sim_time, events = simulation.execute(max_events)
     return (
         simulation.metrics,
@@ -266,15 +153,12 @@ def run_sharded(
     ``workers=None`` sizes the pool to ``min(shards - 1, cpus - 1)``
     (the parent itself runs the primary shard, so one core is spoken
     for); ``workers=0`` forces sequential in-process execution.
-    ``config.timeline_mode == "replay"`` routes through the arena path.
     """
     if collect_trace:
         raise ValueError(
             "sharded runs record no trace (each shard sees only its own "
             "clients); use shards=1 for trace/audit runs"
         )
-    if config.timeline_mode == "replay":
-        return _run_replay(config, workers=workers, max_events=max_events)
     profiler = PhaseProfiler()
     slices = reader_slices(config)
     if len(slices) == 1:
@@ -353,200 +237,3 @@ def run_sharded(
         profile=profiler.as_dict(),
     )
 
-
-def _run_replay(
-    config: SimulationConfig,
-    *,
-    workers: Optional[int] = None,
-    max_events: Optional[int] = None,
-    _force_record: bool = False,
-) -> SimulationResult:
-    """The timeline-arena path: broadcast once, replay everywhere.
-
-    Cache miss (or uncacheable config): the primary slice runs live as
-    the **recording pass** — its own readers, the ghost-free updaters,
-    the crash schedule — then keeps the timeline running to a horizon
-    with headroom, seals the arena, and the remaining slices replay
-    against it.  Cache hit: *every* slice replays (the primary's too),
-    and the timeline's counters are folded in from the arena's journal.
-    """
-    profiler = PhaseProfiler()
-    slices = reader_slices(config)
-    cacheable = timeline_cacheable(config)
-    arena: Optional[TimelineArena] = None
-    if cacheable and not _force_record:
-        arena = TIMELINE_CACHE.lookup(config)
-    cache_hit = arena is not None
-    fallbacks = 0
-
-    recording: Optional[BroadcastSimulation] = None
-    local_stop = 0.0
-    events = 0
-    if arena is None:
-        # recording pass: one live simulation owns the whole timeline
-        recording = BroadcastSimulation(
-            config, slice_=slices[0], record_timeline=True
-        )
-        with profiler.phase("record"):
-            local_stop, events = recording.execute(max_events)
-        horizon = (
-            local_stop * _HORIZON_FACTOR
-            + _HORIZON_SLACK_CYCLES * recording.layout.cycle_bits
-        )
-        with profiler.phase("extend"):
-            recording.extend_timeline(horizon, max_events=max_events)
-        with profiler.phase("seal"):
-            arena = recording.seal_timeline(horizon)
-            if cacheable:
-                TIMELINE_CACHE.store(config, arena)
-
-    rest = slices[1:]
-    if workers is None:
-        workers = min(len(rest), max(1, (os.cpu_count() or 1) - 1))
-
-    outcomes: List[
-        Tuple[MetricsCollector, float, int, List[Span], int, bool]
-    ] = []
-    primary_outcome: Optional[
-        Tuple[MetricsCollector, float, int, List[Span], int]
-    ] = None
-    with profiler.phase("replay"):
-        try:
-            if rest and workers > 0:
-                handle = arena.share()
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = [
-                        pool.submit(
-                            _run_shard_replay, (config, sl, handle, max_events)
-                        )
-                        for sl in rest
-                    ]
-                    if recording is None:
-                        # cache hit: the parent replays the primary slice
-                        # itself while the pool works — exhaustion here means
-                        # the cached horizon is too short for this config's
-                        # clients, so drop it and re-record
-                        try:
-                            primary_outcome = _replay_primary(
-                                config, slices[0], arena, max_events
-                            )
-                        except TimelineExhausted:
-                            for future in futures:
-                                future.cancel()
-                            TIMELINE_CACHE.discard(config)
-                            return _run_replay(
-                                config,
-                                workers=workers,
-                                max_events=max_events,
-                                _force_record=True,
-                            )
-                    outcomes = _collect(futures, rest, 1)
-            else:
-                if recording is None:
-                    try:
-                        primary_outcome = _replay_primary(
-                            config, slices[0], arena, max_events
-                        )
-                    except TimelineExhausted:
-                        TIMELINE_CACHE.discard(config)
-                        return _run_replay(
-                            config,
-                            workers=workers,
-                            max_events=max_events,
-                            _force_record=True,
-                        )
-                for index, sl in enumerate(rest):
-                    try:
-                        outcomes.append(
-                            _run_shard_replay((config, sl, arena, max_events))
-                        )
-                    except Exception as exc:
-                        raise ShardExecutionError(1 + index, sl, exc) from exc
-        finally:
-            arena.close_shared()
-
-    primary_spans: List[Span] = []
-    spans_dropped = 0
-    if recording is not None:
-        merged = recording.metrics
-        sim_time = local_stop
-    else:
-        assert primary_outcome is not None
-        merged, sim_time, primary_events, primary_spans, spans_dropped = (
-            primary_outcome
-        )
-        events += primary_events
-    with profiler.phase("merge"):
-        for (
-            shard_metrics,
-            shard_time,
-            shard_events,
-            _spans,
-            _dropped,
-            fell_back,
-        ) in outcomes:
-            merged.merge_from(shard_metrics)
-            if shard_time > sim_time:
-                sim_time = shard_time
-            events += shard_events
-            if fell_back:
-                fallbacks += 1
-
-    with profiler.phase("drive"):
-        if recording is not None:
-            # the timeline must cover the same simulated span an unsharded
-            # run's would: drive past the horizon if a shard outlived it
-            # (rare — it means that shard fell back), then fold the
-            # extension-phase counters the merged stop time covers
-            if sim_time > recording.sim.now:
-                recording.sim.run(until=sim_time, max_events=max_events)
-            if sim_time > local_stop:
-                recording.fold_timeline_journal(upto=sim_time)
-            server = recording.server
-        else:
-            if sim_time > arena.horizon_time:
-                # a fallen-back shard ran past the cached horizon: the
-                # journal cannot cover it — drop the entry and re-record
-                TIMELINE_CACHE.discard(config)
-                return _run_replay(
-                    config, workers=workers, max_events=max_events, _force_record=True
-                )
-            arena.apply_journal(merged, upto=sim_time)
-            server = None
-
-    spans = None
-    shard_spans = None
-    if config.tracing:
-        # the recording pass's stream is exported only now: it contains
-        # the extension-phase timeline spans, which canonical_spans
-        # truncates with the same ``start <= sim_time`` predicate the
-        # journal fold uses, so span counts reconcile with counters
-        if recording is not None:
-            primary_spans = recording.tracer.export()
-            spans_dropped = recording.tracer.dropped
-        shard_spans = [primary_spans] + [o[3] for o in outcomes]
-        spans = canonical_spans(shard_spans, sim_time)
-        spans_dropped += sum(o[4] for o in outcomes)
-
-    stats: Dict[str, object] = {
-        "mode": "replay",
-        "shards": len(slices),
-        "cache_hit": cache_hit,
-        "fallbacks": fallbacks,
-        "cache": TIMELINE_CACHE.stats.as_dict(),
-    }
-    return SimulationResult(
-        config=config,
-        response_time=merged.response_time(config.measure_fraction),
-        restart_ratio=merged.restart_ratio(config.measure_fraction),
-        metrics=merged,
-        server=server,
-        trace=None,
-        sim_time=sim_time,
-        events=events,
-        timeline_stats=stats,
-        spans=spans,
-        shard_spans=shard_spans,
-        spans_dropped=spans_dropped,
-        profile=profiler.as_dict(),
-    )

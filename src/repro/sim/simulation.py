@@ -43,7 +43,6 @@ from ..obs.profiler import PhaseProfiler
 from ..obs.tracer import NULL_TRACER, Span, Tracer, canonical_spans
 from ..server.server import BroadcastServer
 from ..server.workload import ClientWorkload, ServerWorkload
-from .arena import RecordingTimelineMetrics, TimelineArena, TimelineView
 from .cohort import CohortClient, CohortExecutor
 from .config import SimulationConfig
 from .engine import Simulator
@@ -102,17 +101,12 @@ class SimulationResult:
     response_time: SummaryStat
     restart_ratio: SummaryStat
     metrics: MetricsCollector
-    #: ``None`` on a cache-hit replay run: the timeline was never driven
-    #: live, so there is no server instance to inspect
-    server: Optional[BroadcastServer]
+    server: BroadcastServer
     trace: Optional[TraceRecorder]
     sim_time: float
     events: int
     #: invariant-audit report, populated when the config sets ``audit=True``
     audit_report: Optional["AuditReport"] = None
-    #: replay/cache telemetry from the shard layer (``timeline_mode``,
-    #: cache hit, fallback counts); ``None`` on plain unsharded runs
-    timeline_stats: Optional[dict] = None
     #: canonical merged span stream (sorted, truncated at ``sim_time``)
     #: when the config enables tracing; ``None`` otherwise
     spans: Optional[List[Span]] = None
@@ -147,8 +141,6 @@ class BroadcastSimulation:
         collect_trace: bool = False,
         client_workloads: Optional[List] = None,
         slice_: Optional[ShardSlice] = None,
-        timeline: Optional[TimelineView] = None,
-        record_timeline: bool = False,
     ):
         """``client_workloads`` optionally overrides the per-client
         generators — any objects with ``next_transaction()`` (e.g.
@@ -158,17 +150,7 @@ class BroadcastSimulation:
         ``slice_`` restricts this simulation to one shard's clients
         (:mod:`repro.sim.shard` builds these); ``None`` simulates and
         measures everyone.
-
-        ``timeline`` makes this a **replay** simulation: broadcast images
-        come from a sealed arena and no cycle/server/crash process is
-        spawned — the slice must contain observers (readers) only.
-        ``record_timeline`` makes this a **recording** pass: every
-        installed image is retained and timeline-counter increments are
-        journalled, so :meth:`seal_timeline` can build the arena replays
-        attach to.  The two are mutually exclusive.
         """
-        if timeline is not None and record_timeline:
-            raise ValueError("a simulation cannot both replay and record a timeline")
         self.config = config
         self.slice = _full_slice(config) if slice_ is None else slice_
         self.layout: BroadcastLayout = config.layout()
@@ -187,22 +169,14 @@ class BroadcastSimulation:
         )
         #: where the shared timeline's metrics (server process, crash
         #: recovery, ghost update clients) land: the measured collector
-        #: on the primary shard, a discarded shadow elsewhere — wrapped
-        #: in a journaling proxy on a recording pass
+        #: on the primary shard, a discarded shadow elsewhere
         self._timeline_metrics: MetricsCollector = (
             self.metrics
             if self.slice.primary
             else MetricsCollector(keep_samples=False)
         )
-        self.timeline_view = timeline
-        if record_timeline:
-            self._timeline_metrics = RecordingTimelineMetrics(
-                self.sim, self._timeline_metrics
-            )
         if (collect_trace or config.audit) and slice_ is not None:
             raise ValueError("trace/audit runs cannot be sliced into shards")
-        if (collect_trace or config.audit) and timeline is not None:
-            raise ValueError("trace/audit runs cannot replay a timeline")
         self.trace = TraceRecorder() if (collect_trace or config.audit) else None
         if self.trace is not None and config.audit:
             self.trace.record_cycles = True
@@ -212,10 +186,6 @@ class BroadcastSimulation:
         # like timeline metrics: ghost timelines recompute the same
         # history and would double-emit
         self.state.tracer = self.tracer if self.slice.primary else NULL_TRACER
-        if timeline is not None:
-            self.state.timeline = timeline
-        if record_timeline:
-            self.state.record_images = {}
         # a no-op plan is indistinguishable from no plan: no runtime, no
         # crash process, bit-identical event sequences
         if config.faults is not None and not config.faults.is_noop:
@@ -225,12 +195,6 @@ class BroadcastSimulation:
                 self._timeline_metrics,
                 seed=config.seed,
             )
-            if timeline is not None:
-                # a replay shard hosts no crash process; the dead-air
-                # windows its readers must observe are plan data
-                self.state.faults.preload_outages(
-                    [(crash.time, crash.end) for crash in config.faults.crashes]
-                )
 
         base_seed = config.seed
         self._server_workload = ServerWorkload(
@@ -252,8 +216,8 @@ class BroadcastSimulation:
     # -- per-client stream factories -----------------------------------
     # Built on demand (never a list over the whole population): client
     # ``k``'s workload and RNG are pure functions of the config seed and
-    # ``k``, so any shard — or the analytical tier, one client at a
-    # time — reconstructs exactly the streams the unsharded run uses.
+    # ``k``, so any shard reconstructs exactly the streams the unsharded
+    # run uses.
     def workload_for(self, k: int) -> ClientWorkload:
         if self._workload_overrides is not None:
             return self._workload_overrides[k]
@@ -319,8 +283,6 @@ class BroadcastSimulation:
     def spawn_crash_process(self) -> None:
         """Spawn crash recovery (after the clients: spawn order is part
         of the determinism contract for same-instant tie-breaking)."""
-        if self.timeline_view is not None:
-            return  # replay shards observe outages; they don't host them
         if self.state.faults is not None and self.state.faults.plan.crashes:
             self.sim.spawn(
                 crash_process(
@@ -335,61 +297,18 @@ class BroadcastSimulation:
                 name="fault-crash",
             )
 
-    # -- recording pass (timeline arena) -------------------------------
-    def extend_timeline(
-        self, horizon: float, max_events: Optional[int] = None
-    ) -> None:
-        """Keep the timeline running past the local stop, up to ``horizon``.
+    def execute(self, max_events: Optional[int] = None) -> Tuple[float, int]:
+        """Run the simulation; returns ``(sim_time, events)``.
 
-        Replay shards may legitimately stop later than the recording
-        pass's own clients did, so the recorded history needs headroom.
-        The extension must not pollute this run's measured metrics: the
-        journaling proxy is retargeted at a throwaway shadow collector
-        first, and :meth:`fold_timeline_journal` later re-applies exactly
-        the extension-phase increments the merged stop time covers.
+        Metrics land in ``self.metrics``; :meth:`run` wraps this with the
+        summary statistics.  Shard workers call this directly — a
+        secondary shard's partial sample set isn't summarisable on its
+        own.
         """
-        proxy = self._timeline_metrics
-        assert isinstance(proxy, RecordingTimelineMetrics)
-        proxy.retarget(MetricsCollector(keep_samples=False))
-        self.sim.run(until=horizon, max_events=max_events)
-
-    def seal_timeline(self, horizon_time: float) -> TimelineArena:
-        """Serialise the recorded history into a sealed arena."""
-        images = self.state.record_images
-        assert images, "seal_timeline requires a record_timeline=True run"
-        proxy = self._timeline_metrics
-        assert isinstance(proxy, RecordingTimelineMetrics)
-        return TimelineArena.from_images(
-            images,
-            cycle_bits=float(self.layout.cycle_bits),
-            horizon_time=horizon_time,
-            partition=self.config.partition(),
-            journal=tuple(proxy.journal),
-        )
-
-    def fold_timeline_journal(self, upto: float) -> None:
-        """Apply the extension-phase timeline counters at stop ``upto``.
-
-        Everything journalled before :meth:`extend_timeline` retargeted
-        the proxy already lives in ``self.metrics``; this folds in the
-        post-retarget increments whose time is <= ``upto`` — exactly what
-        driving the live timeline to ``upto`` would have recorded.
-        """
-        proxy = self._timeline_metrics
-        assert isinstance(proxy, RecordingTimelineMetrics)
-        start = proxy.live_entries if proxy.live_entries is not None else 0
-        metrics = self.metrics
-        for time, name, delta in proxy.journal[start:]:
-            if time <= upto:
-                setattr(metrics, name, getattr(metrics, name) + delta)
-
-    def _run_events(self, max_events: Optional[int]) -> Tuple[float, int]:
-        """The event-driven path: process or cohort executor."""
         config = self.config
         sim = self.sim
         sl = self.slice
-        if self.timeline_view is None:
-            self.spawn_timeline()
+        self.spawn_timeline()
         # ghost updaters (non-primary shards) record into the shadow
         # collector; everyone this shard measures records into the real one
         ghosts: List[CohortClient] = []
@@ -443,21 +362,6 @@ class BroadcastSimulation:
         sim.run(stop_when=lambda: self.state.all_clients_done, max_events=max_events)
         return sim.now, sim.events_processed
 
-    def execute(self, max_events: Optional[int] = None) -> Tuple[float, int]:
-        """Run the simulation; returns ``(sim_time, events)``.
-
-        Metrics land in ``self.metrics``; :meth:`run` wraps this with the
-        summary statistics.  Shard workers call this directly — a
-        secondary shard's partial sample set isn't summarisable on its
-        own.
-        """
-        if self.config.client_executor == "analytic":
-            # imported lazily: the analytical tier is optional machinery
-            from .analytic import run_analytic
-
-            return run_analytic(self, max_events=max_events)
-        return self._run_events(max_events)
-
     def run(self, *, max_events: Optional[int] = None) -> SimulationResult:
         config = self.config
         sim_time, events = self.execute(max_events)
@@ -498,13 +402,8 @@ def run_simulation(
     collect_trace: bool = False,
     max_events: Optional[int] = None,
 ) -> SimulationResult:
-    """Build and run one simulation (sharded when ``config.shards > 1``).
-
-    ``config.timeline_mode == "replay"`` also routes through the shard
-    layer (even at one shard): the run records or reuses a sealed
-    timeline arena and replays observers against it.
-    """
-    if config.shards > 1 or config.timeline_mode == "replay":
+    """Build and run one simulation (sharded when ``config.shards > 1``)."""
+    if config.shards > 1:
         from .shard import run_sharded
 
         return run_sharded(config, collect_trace=collect_trace, max_events=max_events)

@@ -271,7 +271,6 @@ class TestRules:
         population = next(r for r in RULES if r.rule_id == "REP008")
         assert population.applies_to("src/repro/sim/cohort.py")
         assert population.applies_to("src/repro/sim/shard.py")
-        assert population.applies_to("src/repro/sim/analytic.py")
         assert not population.applies_to("src/repro/sim/processes.py")
         assert not population.applies_to("src/repro/experiments/bench.py")
         assert population.applies_to("tests/analysis/fixture.py")

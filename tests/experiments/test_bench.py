@@ -53,6 +53,7 @@ class TestSections:
             seed=5,
             trials=1,
             include_defaults=False,
+            mega=(16_384,),
         )
         assert [p["clients"] for p in out["points"]] == [4, 16]
         for point in out["points"]:
@@ -62,6 +63,13 @@ class TestSections:
             assert point["speedup"] > 0
         assert out["same_seed_determinism_ok"] is True
         assert "table1_defaults" not in out
+        # the one mega point: 2-shard cohort run vs. the same config
+        # unsharded, every identity basis bit-for-bit
+        [mega] = out["mega_points"]
+        assert mega["clients"] == 16_384 and mega["shards"] == 2
+        assert mega["identity_basis"]
+        assert all(ok is True for ok in mega["identity_basis"].values())
+        assert mega["metrics_identical"] is True
 
     def test_micro_checksums_deterministic(self):
         a = {r["name"]: r["checksum"] for r in tiny_micro()}

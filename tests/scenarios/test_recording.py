@@ -41,10 +41,6 @@ class TestRecord:
         result, trace = record_config(SMALL)
         assert trace.signature == result_signature(result)
 
-    def test_record_rejects_analytic(self):
-        with pytest.raises(ValueError, match="analytic"):
-            record_config(SMALL.replace(client_executor="analytic"))
-
     def test_record_rejects_sharded(self):
         with pytest.raises(ValueError, match="shard"):
             record_config(
@@ -133,10 +129,6 @@ class TestReplay:
         assert "client_commits[2]" in where
         assert "signature.commits" in where
         assert report.replayed_digest != forged.digest
-
-    def test_replay_rejects_analytic(self, recorded):
-        with pytest.raises(ValueError, match="analytic"):
-            replay_trace(recorded, executor="analytic")
 
     def test_faulted_scenario_replays_across_executors(self):
         # faults are simulated bit-identically by process and cohort;

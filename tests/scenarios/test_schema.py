@@ -108,14 +108,15 @@ class TestRejection:
             parse_scenario(minimal(config={"num_objcts": 40}))
 
     def test_eager_config_validation(self):
-        # analytic executor + fault plan is illegal in SimulationConfig;
-        # the scenario must be rejected at parse time, not at run time
-        with pytest.raises(ScenarioError, match="analytic"):
+        # a doze interval naming a client the run does not have is
+        # illegal in SimulationConfig; the scenario must be rejected at
+        # parse time, not at run time
+        with pytest.raises(ScenarioError, match="doze interval names client"):
             parse_scenario(
                 minimal(
-                    config={"client_executor": "analytic"},
+                    config={"num_clients": 1},
                     faults={"doze": [
-                        {"client": 0, "start": 0.0, "duration": 10.0}
+                        {"client": 3, "start": 0.0, "duration": 10.0}
                     ]},
                 )
             )

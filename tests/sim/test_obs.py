@@ -9,13 +9,13 @@ Three contracts, in increasing order of subtlety:
 
 * **Enabled tracing is deterministic and non-perturbing.**  A traced
   run's metrics equal the untraced run's exactly, and the canonical
-  span stream is identical across executors, shard counts, and both
-  timeline modes — the same bit-identity contract the metrics already
-  honour, extended to spans.
+  span stream is identical across executors and shard counts — the
+  same bit-identity contract the metrics already honour, extended to
+  spans.
 
 * **Spans reconcile with counters.**  Span counts are not decorative:
   txn spans == commits, per-cause attempt aborts == abort counters,
-  cycle spans == cycles_broadcast, all on a faulted sharded replay run.
+  cycle spans == cycles_broadcast, all on a faulted sharded run.
 """
 
 import json
@@ -115,8 +115,11 @@ def metrics_signature(result):
     }
 
 
-#: digests of untraced runs captured from the commit before the obs
-#: subsystem landed (c1142d4) — tracing off must stay bit-identical
+#: digests of untraced runs, keyed (executor, shards, timeline path);
+#: the 1-shard digests were captured from the commit before the obs
+#: subsystem landed (c1142d4), the 2-shard one from the last commit
+#: that still had a second timeline path — tracing off must stay
+#: bit-identical
 PINNED = {
     ("process", 1, "recompute"): (
         "cb4c98cefb30f5d61da912f0193cbc96e4646f7bb9df54cb0f6da743ac12e920"
@@ -124,8 +127,8 @@ PINNED = {
     ("cohort", 1, "recompute"): (
         "27bf43e096fcecede55a47fe340c9cdd04e9bdccb72d7946b9cd38df88e9e6c2"
     ),
-    ("cohort", 2, "replay"): (
-        "c89d020ce985609d17456c05623b0ab17b69ae5b6894d1f1c9479fc2c3b931fe"
+    ("cohort", 2, "recompute"): (
+        "2c2e399be55d20a9eaa55cd6e4fed676fd2e5bdef2587085f27b544dd1dd37b7"
     ),
 }
 
@@ -216,9 +219,7 @@ class TestRegistryUnit:
 class TestUntracedBitIdentity:
     @pytest.mark.parametrize("executor,shards,mode", sorted(PINNED))
     def test_untraced_signature_pinned(self, executor, shards, mode):
-        config = make_config(
-            client_executor=executor, shards=shards, timeline_mode=mode
-        )
+        config = make_config(client_executor=executor, shards=shards)
         assert config.tracing is False  # the default stays off
         result = run_config(config)
         assert signature_digest(result) == PINNED[(executor, shards, mode)]
@@ -229,46 +230,36 @@ class TestTracedDeterminism:
     def test_traced_metrics_equal_untraced(self):
         for executor, shards, mode in sorted(PINNED):
             config = make_config(
-                client_executor=executor,
-                shards=shards,
-                timeline_mode=mode,
-                tracing=True,
+                client_executor=executor, shards=shards, tracing=True
             )
             result = run_config(config)
             assert signature_digest(result) == PINNED[(executor, shards, mode)]
 
-    @pytest.mark.parametrize("mode", ["recompute", "replay"])
-    def test_span_stream_identical_across_shards(self, mode):
+    def test_span_stream_identical_across_shards(self):
         reference = None
         for shards in (1, 2, 3):
-            if shards == 1 and mode == "replay":
-                continue  # replay requires a shard split
             config = make_config(
-                client_executor="cohort",
-                shards=shards,
-                timeline_mode=mode,
-                tracing=True,
+                client_executor="cohort", shards=shards, tracing=True
             )
             result = run_config(config)
-            assert result.spans, f"no spans at shards={shards} mode={mode}"
+            assert result.spans, f"no spans at shards={shards}"
             if reference is None:
                 reference = result.spans
             else:
                 assert result.spans == reference, (
-                    f"span stream diverged at shards={shards} mode={mode}"
+                    f"span stream diverged at shards={shards}"
                 )
 
     def test_span_stream_identical_across_executors_fault_free(self):
-        """process vs cohort vs analytic, fault-free: one span stream."""
+        """process vs cohort, fault-free: one span stream."""
         streams = {}
-        for executor in ("process", "cohort", "analytic"):
+        for executor in ("process", "cohort"):
             config = make_config(
                 client_executor=executor, faults=None, tracing=True
             )
             streams[executor] = run_config(config).spans
         assert streams["process"]
         assert streams["cohort"] == streams["process"]
-        assert streams["analytic"] == streams["process"]
 
     def test_traced_process_vs_cohort_under_faults(self):
         process = run_config(make_config(tracing=True))
@@ -278,35 +269,15 @@ class TestTracedDeterminism:
         assert metrics_signature(process) == metrics_signature(cohort)
         assert process.spans == cohort.spans
 
-    def test_traced_runs_never_populate_or_hit_the_timeline_cache(self):
-        from repro.sim.arena import timeline_cacheable
-
-        fault_free = make_config(
-            faults=None,
-            client_update_fraction=0.0,
-            num_update_clients=None,
-            tracing=True,
-        )
-        assert not timeline_cacheable(fault_free)
-        untraced = make_config(
-            faults=None, client_update_fraction=0.0, num_update_clients=None
-        )
-        assert timeline_cacheable(untraced)
-
 
 class TestReconciliation:
     @pytest.fixture(scope="class")
-    def traced_replay(self):
-        config = make_config(
-            client_executor="cohort",
-            shards=2,
-            timeline_mode="replay",
-            tracing=True,
-        )
+    def traced_sharded(self):
+        config = make_config(client_executor="cohort", shards=2, tracing=True)
         return run_config(config)
 
-    def test_span_counts_reconcile_with_metrics(self, traced_replay):
-        result = traced_replay
+    def test_span_counts_reconcile_with_metrics(self, traced_sharded):
+        result = traced_sharded
         m = result.metrics
         spans = result.spans
         assert result.spans_dropped == 0
@@ -342,8 +313,8 @@ class TestReconciliation:
         retries = [s for s in spans if s.name == "uplink.retry"]
         assert len(retries) == m.uplink_retries
 
-    def test_chrome_trace_document_shape(self, traced_replay):
-        result = traced_replay
+    def test_chrome_trace_document_shape(self, traced_sharded):
+        result = traced_sharded
         registry = result.telemetry()
         document = chrome_trace(
             result.shard_spans,
@@ -370,18 +341,16 @@ class TestReconciliation:
         assert document["otherData"]["counters"]["commits"] == (
             result.metrics.commit_count
         )
-        assert "replay" in document["otherData"]["profile_seconds"]
+        assert "primary" in document["otherData"]["profile_seconds"]
 
-    def test_spans_jsonl_round_trips(self, traced_replay):
-        lines = spans_to_jsonl(traced_replay.spans).splitlines()
-        assert len(lines) == len(traced_replay.spans)
+    def test_spans_jsonl_round_trips(self, traced_sharded):
+        lines = spans_to_jsonl(traced_sharded.spans).splitlines()
+        assert len(lines) == len(traced_sharded.spans)
         rebuilt = [Span(**json.loads(line)) for line in lines]
-        assert rebuilt == traced_replay.spans
+        assert rebuilt == traced_sharded.spans
 
-    def test_profile_covers_the_replay_phases(self, traced_replay):
-        profile = traced_replay.profile
+    def test_profile_covers_the_shard_phases(self, traced_sharded):
+        profile = traced_sharded.profile
         assert profile is not None
-        assert {"record", "extend", "seal", "replay", "merge", "drive"} <= set(
-            profile
-        )
+        assert {"primary", "shards", "merge", "drive"} <= set(profile)
         assert all(v >= 0 for v in profile.values())

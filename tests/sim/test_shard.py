@@ -1,8 +1,8 @@
-"""Sharded execution and analytical-tier tests (repro.sim.shard/analytic).
+"""Sharded execution tests (repro.sim.shard).
 
 The unsharded run is the semantics oracle: for every configuration,
-partitioning the read-only population over shards — or fast-forwarding
-it through the analytical tier — must change **nothing observable**:
+partitioning the read-only population over shards must change **nothing
+observable**:
 same commit multiset, same counters, same listening bits, same final
 clock.  A hypothesis property drives the equivalence across seeds,
 shard counts, protocols, and mixed read/update workloads; deterministic
@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import (
-    TIMELINE_CACHE,
     MetricsCollector,
     ShardExecutionError,
     SimulationConfig,
@@ -69,10 +68,9 @@ def signature(result):
     seed=st.integers(min_value=0, max_value=2**16),
     shards=st.sampled_from([1, 2, 3, 8]),
     protocol=st.sampled_from(["f-matrix", "r-matrix", "datacycle"]),
-    executor=st.sampled_from(["cohort", "analytic"]),
     mixed=st.booleans(),
 )
-def test_sharded_equals_unsharded(seed, shards, protocol, executor, mixed):
+def test_sharded_equals_unsharded(seed, shards, protocol, mixed):
     workload = (
         dict(client_update_fraction=0.3, num_update_clients=3) if mixed else {}
     )
@@ -80,7 +78,7 @@ def test_sharded_equals_unsharded(seed, shards, protocol, executor, mixed):
     oracle = signature(run_simulation(base))
     sharded = signature(
         run_sharded(
-            base.replace(client_executor=executor, shards=shards), workers=0
+            base.replace(client_executor="cohort", shards=shards), workers=0
         )
     )
     assert sharded == oracle
@@ -104,103 +102,25 @@ def test_run_simulation_dispatches_on_shards():
     )
 
 
-# ----------------------------------------------------------------------
-# timeline replay: record once, replay everywhere, bit for bit
-# ----------------------------------------------------------------------
-
-
-@settings(max_examples=12, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**16),
-    shards=st.sampled_from([1, 2, 3, 8]),
-    protocol=st.sampled_from(["f-matrix", "r-matrix", "datacycle"]),
-    executor=st.sampled_from(["cohort", "analytic"]),
-    mixed=st.booleans(),
+@pytest.mark.parametrize(
+    "shape",
+    [
+        dict(
+            seed=13,
+            cache_currency_bound=300000.0,
+            cache_capacity=16,
+            broadcast_loss_probability=0.1,
+        ),
+        dict(seed=23, layout_kind="multi-disk", client_access_skew=0.5),
+    ],
+    ids=["cache-and-loss", "multi-disk"],
 )
-def test_replay_sharded_equals_unsharded(seed, shards, protocol, executor, mixed):
-    """The tentpole gate: arena replay is invisible to every observable.
-
-    Cache interference across examples is intentional — a cacheable
-    example may hit an arena stored by an earlier one, and bit-identity
-    must hold either way.
-    """
-    workload = (
-        dict(client_update_fraction=0.3, num_update_clients=3) if mixed else {}
+def test_sharded_matches_oracle_on_extension_shapes(shape):
+    base = small_config(**shape)
+    sharded = run_sharded(
+        base.replace(client_executor="cohort", shards=2), workers=0
     )
-    base = small_config(seed=seed, protocol=protocol, **workload)
-    oracle = signature(run_simulation(base))
-    replayed = run_sharded(
-        base.replace(
-            client_executor=executor, shards=shards, timeline_mode="replay"
-        ),
-        workers=0,
-    )
-    assert signature(replayed) == oracle
-    assert replayed.timeline_stats["mode"] == "replay"
-
-
-def test_replay_with_real_process_pool():
-    base = small_config(seed=5, protocol="f-matrix")
-    oracle = signature(run_simulation(base))
-    pooled = run_sharded(
-        base.replace(client_executor="cohort", shards=3, timeline_mode="replay"),
-        workers=2,
-    )
-    assert signature(pooled) == oracle
-    assert pooled.timeline_stats["shards"] == 3
-
-
-def test_replay_cache_hit_reuses_the_timeline_across_runs():
-    TIMELINE_CACHE.clear()
-    base = small_config(
-        seed=11, client_executor="cohort", shards=2, timeline_mode="replay"
-    )
-    first = run_sharded(base, workers=0)
-    assert first.timeline_stats["cache_hit"] is False
-    # a client-side variation keeps the server fingerprint, so the
-    # second run replays everything — primary included — from cache
-    varied = base.replace(num_clients=12)
-    hit = run_sharded(varied, workers=0)
-    assert hit.timeline_stats["cache_hit"] is True
-    assert hit.server is None  # no live broadcast pass ran at all
-    oracle = signature(run_simulation(small_config(seed=11, num_clients=12)))
-    assert signature(hit) == oracle
-    assert TIMELINE_CACHE.stats.hits >= 1
-
-
-def test_replay_cache_discards_on_horizon_overrun():
-    TIMELINE_CACHE.clear()
-    base = small_config(
-        seed=29, client_executor="cohort", shards=2, timeline_mode="replay"
-    )
-    run_sharded(base, workers=0)  # seeds the cache with a short horizon
-    longer = base.replace(num_client_transactions=12)
-    oracle = signature(
-        run_simulation(small_config(seed=29, num_client_transactions=12))
-    )
-    rerecorded = run_sharded(longer, workers=0)
-    assert signature(rerecorded) == oracle
-    # the cached arena could not cover the longer run: it was dropped
-    # and the run fell back to a fresh recording pass
-    assert rerecorded.timeline_stats["cache_hit"] is False
-    assert TIMELINE_CACHE.stats.horizon_discards == 1
-
-
-def test_replay_with_updaters_is_never_cached():
-    TIMELINE_CACHE.clear()
-    base = small_config(
-        seed=3, client_update_fraction=0.3, num_update_clients=3
-    )
-    oracle = signature(run_simulation(base))
-    replayed = run_sharded(
-        base.replace(
-            client_executor="cohort", shards=2, timeline_mode="replay"
-        ),
-        workers=0,
-    )
-    assert signature(replayed) == oracle
-    assert replayed.timeline_stats["cache_hit"] is False
-    assert len(TIMELINE_CACHE) == 0  # update-laden timelines never cached
+    assert signature(sharded) == signature(run_simulation(base))
 
 
 # ----------------------------------------------------------------------
@@ -309,78 +229,3 @@ class TestShardValidation:
         slice_ = ShardSlice(updaters=0, reader_lo=0, reader_hi=4, primary=True)
         with pytest.raises(ValueError, match="shard"):
             BroadcastSimulation(config, collect_trace=True, slice_=slice_)
-
-
-class TestAnalyticValidation:
-    def test_faults_refused(self):
-        from repro.sim import FaultPlan
-
-        with pytest.raises(ValueError, match="analytical tier"):
-            small_config(
-                client_executor="analytic",
-                faults=FaultPlan(uplink_loss_probability=0.1),
-            )
-
-    def test_updates_need_explicit_bound(self):
-        with pytest.raises(ValueError, match="num_update_clients"):
-            small_config(client_executor="analytic", client_update_fraction=0.2)
-
-    def test_audit_refused(self):
-        with pytest.raises(ValueError, match="audit"):
-            small_config(client_executor="analytic", audit=True)
-
-    def test_trace_refused_at_run_time(self):
-        config = small_config(client_executor="analytic")
-        with pytest.raises(ValueError, match="trace"):
-            BroadcastSimulation(config, collect_trace=True).run()
-
-
-# ----------------------------------------------------------------------
-# the analytical tier against the oracle (single shard)
-# ----------------------------------------------------------------------
-
-
-class TestAnalyticTier:
-    @pytest.mark.parametrize("protocol", ["f-matrix", "r-matrix", "datacycle"])
-    @pytest.mark.parametrize("seed", [3, 77])
-    def test_matches_oracle(self, protocol, seed):
-        base = small_config(protocol=protocol, seed=seed)
-        oracle = signature(run_simulation(base))
-        analytic = signature(
-            run_simulation(base.replace(client_executor="analytic"))
-        )
-        assert analytic == oracle
-
-    def test_matches_oracle_with_cache_and_loss(self):
-        base = small_config(
-            seed=13,
-            cache_currency_bound=300000.0,
-            cache_capacity=16,
-            broadcast_loss_probability=0.1,
-        )
-        assert signature(
-            run_simulation(base.replace(client_executor="analytic"))
-        ) == signature(run_simulation(base))
-
-    def test_matches_oracle_with_updaters(self):
-        base = small_config(
-            seed=19, client_update_fraction=0.4, num_update_clients=3
-        )
-        assert signature(
-            run_simulation(base.replace(client_executor="analytic"))
-        ) == signature(run_simulation(base))
-
-    def test_matches_oracle_multi_disk(self):
-        base = small_config(
-            seed=23, layout_kind="multi-disk", client_access_skew=0.5
-        )
-        assert signature(
-            run_simulation(base.replace(client_executor="analytic"))
-        ) == signature(run_simulation(base))
-
-    def test_reader_events_cost_nothing(self):
-        """The analytic event count excludes the replayed population."""
-        base = small_config(seed=31)
-        oracle = run_simulation(base)
-        analytic = run_simulation(base.replace(client_executor="analytic"))
-        assert analytic.events < oracle.events
