@@ -55,6 +55,9 @@ def signature(result):
         "commits": sorted(
             (s.tid, s.submit_time, s.commit_time, s.restarts) for s in m.samples
         ),
+        # every tally, including the four abort causes and the client
+        # update verdicts
+        "counters": m.counters(),
         "reads_delivered": m.reads_delivered,
         "reads_rejected": m.reads_rejected,
         "cache_hits": m.cache_hits,
