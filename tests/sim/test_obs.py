@@ -270,6 +270,62 @@ class TestTracedDeterminism:
         assert process.spans == cohort.spans
 
 
+class TestUplinkRetrySchedule:
+    """The uplink retry/backoff timing, pinned span by span.
+
+    Both executors drive the same client kernel, so process == cohort
+    equality can no longer catch a mistake in the schedule itself; this
+    checks the formula directly.  Times are summed left to right, as the
+    kernel sums them, so the comparisons are exact.
+    """
+
+    @pytest.mark.parametrize("executor", ("process", "cohort"))
+    def test_retry_times_follow_timeout_and_backoff(self, executor):
+        plan = FaultPlan(
+            uplink_loss_probability=0.6,
+            uplink_max_retries=2,
+            uplink_timeout=3000.0,
+            uplink_backoff=1.5,
+        )
+        config = make_config(
+            client_executor=executor,
+            faults=plan,
+            num_client_transactions=16,
+            tracing=True,
+        )
+        result = run_config(config)
+        half_rtt = config.uplink_round_trip / 2
+        uplinks = [s for s in result.spans if s.name == "uplink"]
+        retries = [s for s in result.spans if s.name == "uplink.retry"]
+        exhausted = retried = 0
+        for uplink in uplinks:
+            mine = [
+                r.start
+                for r in retries
+                if r.track_id == uplink.track_id
+                and r.detail == uplink.detail
+                and uplink.start <= r.start <= uplink.end
+            ]
+            if uplink.status == "uplink":
+                exhausted += 1
+                assert len(mine) == plan.uplink_max_retries
+            if not mine:
+                continue
+            retried += 1
+            assert mine[0] == uplink.start + half_rtt
+            arrival = mine[0]
+            for k, retry in enumerate(mine[1:]):
+                arrival = arrival + plan.uplink_timeout * plan.uplink_backoff**k
+                arrival = arrival + half_rtt
+                assert retry == arrival
+            if uplink.status == "uplink":
+                k = len(mine) - 1
+                last = mine[-1] + plan.uplink_timeout * plan.uplink_backoff**k
+                assert uplink.end == last + half_rtt
+        assert exhausted and retried > exhausted
+        assert len(retries) == result.metrics.uplink_retries
+
+
 class TestReconciliation:
     @pytest.fixture(scope="class")
     def traced_sharded(self):
