@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test lint typecheck audit bench-smoke faults-smoke consistency-smoke obs-smoke scenario-smoke
+.PHONY: check test lint typecheck audit bench-smoke bench-reference faults-smoke consistency-smoke obs-smoke scenario-smoke
 
 check: test lint typecheck
 
@@ -37,6 +37,21 @@ bench-smoke:
 		--label ci-smoke --output bench-smoke.json
 	$(PYTHON) -m repro.experiments.bench --smoke --sections scaling \
 		--label ci-smoke-scaling --output bench-scaling-smoke.json
+
+# full-size benchmark signatures: each perfbench workload runs at its
+# measured size for one second and must reproduce perfbench/reference.json
+# bit for bit (the last stdout line's "correct").  Exits non-zero on any
+# divergence.
+BENCH_WORKLOADS = table1 crowd mixed-faults audit
+
+bench-reference:
+	@for w in $(BENCH_WORKLOADS); do \
+		echo "bench-reference: $$w"; \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 42 --seconds 1 --trace 0 \
+			| tail -n 1 | $(PYTHON) -c \
+			"import json, sys; sys.exit(0 if json.loads(sys.stdin.read())['correct'] is True else 1)" \
+			|| { echo "bench-reference: $$w diverged from perfbench/reference.json"; exit 1; }; \
+	done
 
 # fault-injection resilience report (docs/FAULTS.md): doze through a
 # full wrap window, crash the server mid-run, drop uplink submissions —

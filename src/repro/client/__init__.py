@@ -1,7 +1,9 @@
-"""Client substrate: transaction runtimes (read-only and update) and the
-quasi-cache for weak currency requirements."""
+"""Client substrate: transaction runtimes (read-only and update), the
+quasi-cache for weak currency requirements, and the transaction kernel
+every simulated client runs on."""
 
 from .cache import CacheEntry, QuasiCache
+from .kernel import ClientKernel, ClientState
 from .session import ClientSession, ConsistencyAbort, SessionTransaction
 from .runtime import (
     ClientUpdateTransactionRuntime,
@@ -20,4 +22,6 @@ __all__ = [
     "ClientSession",
     "SessionTransaction",
     "ConsistencyAbort",
+    "ClientKernel",
+    "ClientState",
 ]

@@ -187,27 +187,6 @@ class ReadOnlyTransactionRuntime:
         self._index = index
         return index
 
-    def deliver_prevalidated(
-        self, broadcast: BroadcastCycle, ok: bool
-    ) -> ReadOutcome:
-        """Apply a read whose validation already ran out-of-band.
-
-        Outcome-object variant of :meth:`apply_read_ok` (a failed
-        prevalidated read marks the transaction aborted, as
-        :meth:`deliver` would).
-        """
-        obj = self.next_object
-        if obj is None:
-            raise RuntimeError(f"{self.tid}: no pending read")
-        snapshot = broadcast.snapshot
-        if ok:
-            version = broadcast.version(obj)
-            self._versions.append(version)
-            self._index += 1
-            return ReadOutcome(True, obj, snapshot.cycle, version)
-        self.aborted = True
-        return ReadOutcome(False, obj, snapshot.cycle)
-
     def deliver_or_raise(self, broadcast: BroadcastCycle) -> ObjectVersion:
         outcome = self.deliver(broadcast)
         if not outcome.ok:

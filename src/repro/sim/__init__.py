@@ -1,7 +1,7 @@
 """Discrete-event simulation of the broadcast-disk system (Sec. 4 setup)."""
 
 from .batch import ReplicatedResult, replicate, replication_seeds
-from .cohort import CohortClient, CohortExecutor
+from .cohort import CohortExecutor
 from .config import KILOBYTE_BITS, SimulationConfig
 from .engine import Process, Simulator, Timeout, WaitUntil, Waive
 from .faults import DozeInterval, FaultPlan, FaultRuntime, ServerCrash
@@ -44,7 +44,6 @@ __all__ = [
     "run_sharded",
     "reader_slices",
     "ShardExecutionError",
-    "CohortClient",
     "CohortExecutor",
     "TraceRecorder",
     "ClientCommitRecord",

@@ -38,12 +38,13 @@ if TYPE_CHECKING:  # pragma: no cover - type-only; avoids an import cycle
 
 from ..broadcast.layout import BroadcastLayout
 from ..client.cache import QuasiCache
+from ..client.kernel import ClientKernel, ClientState
 from ..core.validators import ReadValidator, make_validator
 from ..obs.profiler import PhaseProfiler
 from ..obs.tracer import NULL_TRACER, Span, Tracer, canonical_spans
 from ..server.server import BroadcastServer
 from ..server.workload import ClientWorkload, ServerWorkload
-from .cohort import CohortClient, CohortExecutor
+from .cohort import CohortExecutor
 from .config import SimulationConfig
 from .engine import Simulator
 from .faults import FaultRuntime, crash_process
@@ -311,52 +312,41 @@ class BroadcastSimulation:
         self.spawn_timeline()
         # ghost updaters (non-primary shards) record into the shadow
         # collector; everyone this shard measures records into the real one
-        ghosts: List[CohortClient] = []
-        measured: List[CohortClient] = []
+        faults = self.state.faults
+        kernel = ClientKernel(
+            config, self.metrics, self.tracer, self.trace, faults, self.server
+        )
+        ghost_kernel = ClientKernel(
+            config, self._timeline_metrics, NULL_TRACER, self.trace, faults, self.server
+        )
+        ghosts: List[ClientState] = []
+        measured: List[ClientState] = []
         for k in self._local_client_ids():
-            cache = self.cache_for(k)
-            validator = self.validator_for(k)
-            is_ghost = not sl.primary and k < sl.updaters
+            client = ClientState(
+                k,
+                self.workload_for(k),
+                self.validator_for(k),
+                self.rng_for(k),
+                self.cache_for(k),
+            )
             if config.client_executor == "cohort":
-                group = ghosts if is_ghost else measured
-                group.append(
-                    CohortClient(k, self.workload_for(k), validator, self.rng_for(k), cache)
-                )
+                is_ghost = not sl.primary and k < sl.updaters
+                (ghosts if is_ghost else measured).append(client)
                 continue
+            # the per-process oracle never shards, so it has no ghosts
             sim.spawn(
-                client_process(
-                    sim,
-                    config,
-                    k,
-                    self.workload_for(k),
-                    validator,
-                    self.layout,
-                    self.state,
-                    self.metrics,
-                    self.rng_for(k),
-                    server=self.server,
-                    trace=self.trace,
-                    cache=cache,
-                    tracer=self.tracer,
-                ),
+                client_process(sim, kernel, client, self.layout, self.state),
                 name=f"client-{k}",
             )
         self.spawn_crash_process()
-        for group, collector, tracer in (
-            (ghosts, self._timeline_metrics, NULL_TRACER),
-            (measured, self.metrics, self.tracer),
-        ):
+        for group, group_kernel in ((ghosts, ghost_kernel), (measured, kernel)):
             if group:
                 CohortExecutor(
                     sim=sim,
-                    config=config,
                     layout=self.layout,
                     state=self.state,
-                    server=self.server,
-                    metrics=collector,
+                    kernel=group_kernel,
                     clients=group,
-                    trace=self.trace,
-                    tracer=tracer,
                 ).start()
 
         sim.run(stop_when=lambda: self.state.all_clients_done, max_events=max_events)
